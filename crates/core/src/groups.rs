@@ -1,5 +1,7 @@
 //! Wash-target grouping, merging, and candidate-path enumeration.
 
+use std::collections::HashSet;
+
 use pdw_biochip::{CellSet, Chip, Coord, FlowPath, RouteScratch, ScratchPool};
 use pdw_contam::{Source, WashRequirement};
 use pdw_sched::{flow_duration, Schedule, TaskKind, Time};
@@ -548,7 +550,9 @@ pub(crate) fn split_into_spot_clusters_pooled(
 /// conflict-free slot for the combined wash inside the combined window of
 /// the *current* schedule. (Without the fit check a merge can become a delay
 /// trap: e.g. a device wash pinned under another member's earlier deadline
-/// while the device still holds a resident plug.)
+/// while the device still holds a resident plug.) Pairs are scanned in
+/// lexicographic order and the first acceptable merge is applied; each
+/// pair's verdict is computed at most once.
 pub fn merge_groups(
     chip: &Chip,
     schedule: &Schedule,
@@ -556,132 +560,163 @@ pub fn merge_groups(
     k: usize,
 ) -> Vec<WashGroup> {
     let pool = ScratchPool::new();
-    merge_groups_pooled(chip, schedule, groups, k, &pool)
+    merge_pass(chip, schedule, groups, k, &pool, false)
 }
 
-/// [`merge_groups`] drawing its scratch from a caller-held pool. Output is
-/// identical to [`merge_groups`].
-pub(crate) fn merge_groups_pooled(
+/// Merged groups are capped at this many parts to keep waypoint ordering
+/// tractable.
+const MAX_MERGED_PARTS: usize = 6;
+
+/// One group inside a [`merge_pass`], with what the pass reads of it cached.
+struct Member {
+    /// Stable within the pass; a group that absorbs another gets a fresh id.
+    id: usize,
+    group: WashGroup,
+    /// `window(schedule, &group)`, computed once.
+    window: (Time, Time),
+}
+
+/// The one group-merge loop. Scans pairs `(i, j)`, `i < j`, in
+/// lexicographic order and applies the first acceptable merge (group `i`
+/// absorbs group `j`, taking the combined candidates), then rescans from the
+/// start until no pair merges.
+///
+/// With `overlap_gate`, only pairs whose current best paths share a cell
+/// are considered: the partitioned pipeline's cross-bucket cleanup pass.
+/// In-bucket merging already consolidated whatever shares a span view, and
+/// across buckets disjoint best paths would make the combined path longer
+/// than the separate ones.
+///
+/// The schedule and its [`Timeline`] never change within a pass, so a
+/// pair's verdict is a pure function of the two groups' contents. Each
+/// group carries a stable id (fresh when it absorbs another), and rejected
+/// id pairs are remembered: a rescan probes only pairs involving the group
+/// just merged. Each group's window is computed once; a merged window is
+/// `(max ready, min deadline)` of the two, exactly what [`window`] gives on
+/// the union of their references. The result is exactly what the plain
+/// restart loop (re-probing every pair after every merge) returns, with far
+/// fewer combined-path enumerations.
+pub(crate) fn merge_pass(
     chip: &Chip,
     schedule: &Schedule,
-    mut groups: Vec<WashGroup>,
+    groups: Vec<WashGroup>,
     k: usize,
     pool: &ScratchPool,
+    overlap_gate: bool,
 ) -> Vec<WashGroup> {
     let timeline = Timeline::new(chip, schedule);
     let mut scratch = pool.checkout(chip);
     let scratch: &mut RouteScratch = &mut scratch;
-    let mut merged = true;
-    while merged {
-        merged = false;
-        'pairs: for i in 0..groups.len() {
-            for j in i + 1..groups.len() {
-                if groups[i].parts.len() + groups[j].parts.len() > 6 {
-                    continue; // keep waypoint ordering tractable
-                }
-                let (ri, di) = window(schedule, &groups[i]);
-                let (rj, dj) = window(schedule, &groups[j]);
-                let ready = ri.max(rj);
-                let deadline = di.min(dj);
-                if ready >= deadline {
+    let mut members: Vec<Member> = groups
+        .into_iter()
+        .enumerate()
+        .map(|(id, group)| Member {
+            id,
+            window: window(schedule, &group),
+            group,
+        })
+        .collect();
+    let mut next_id = members.len();
+    let mut rejected: HashSet<(usize, usize)> = HashSet::new();
+    'scan: loop {
+        for i in 0..members.len() {
+            for j in i + 1..members.len() {
+                let key = (members[i].id, members[j].id);
+                if rejected.contains(&key) {
                     continue;
                 }
-                let mut seqs = groups[i].target_seqs();
-                seqs.extend(groups[j].target_seqs());
-                let cands = enumerate_with(chip, &mut *scratch, &seqs, k);
-                let Some(best) = cands.first() else { continue };
-                if ready + best.duration > deadline {
+                let Some(cands) = probe(
+                    chip,
+                    &timeline,
+                    scratch,
+                    &members[i],
+                    &members[j],
+                    k,
+                    overlap_gate,
+                ) else {
+                    rejected.insert(key);
                     continue;
-                }
-                let sep_len =
-                    groups[i].candidates[0].path.len() + groups[j].candidates[0].path.len();
-                if best.path.len() > sep_len {
-                    continue; // merging would lengthen L_wash more than α saves
-                }
-                // The combined wash must actually fit in the window now.
-                if timeline
-                    .earliest_fit(best.path.mask(), ready, best.duration, Some(deadline))
-                    .is_none()
-                {
-                    continue;
-                }
-                let gj = groups.remove(j);
-                let gi = &mut groups[i];
-                gi.parts.extend(gj.parts);
-                gi.candidates = cands;
-                merged = true;
-                break 'pairs;
+                };
+                let mj = members.remove(j);
+                let mi = &mut members[i];
+                mi.group.parts.extend(mj.group.parts);
+                mi.group.candidates = cands;
+                mi.window = (mi.window.0.max(mj.window.0), mi.window.1.min(mj.window.1));
+                mi.id = next_id;
+                next_id += 1;
+                continue 'scan;
             }
         }
+        return members.into_iter().map(|m| m.group).collect();
     }
-    groups
 }
 
-/// [`merge_groups_pooled`] restricted to pairs whose current best candidate
-/// paths share at least one cell. The partitioned pipeline's cross-bucket
-/// cleanup pass: in-bucket merging already consolidated whatever shares a
-/// span view, and across buckets a profitable merge all but requires the
-/// two washes to traverse common channels — disjoint best paths would make
-/// the combined path longer than the separate ones. The mask-intersection
-/// gate skips the expensive combined enumeration for exactly those pairs,
-/// keeping this pass far below the full merge's quadratic enumeration cost.
-pub(crate) fn merge_groups_overlapping_pooled(
+/// The merge verdict for `a` absorbing `b`: the combined candidates if the
+/// merge is acceptable, `None` otherwise. Enumerates a combined path only
+/// for pairs [`ruled_out`] cannot reject.
+fn probe(
     chip: &Chip,
-    schedule: &Schedule,
-    mut groups: Vec<WashGroup>,
+    timeline: &Timeline,
+    scratch: &mut RouteScratch,
+    a: &Member,
+    b: &Member,
     k: usize,
-    pool: &ScratchPool,
-) -> Vec<WashGroup> {
-    let timeline = Timeline::new(chip, schedule);
-    let mut scratch = pool.checkout(chip);
-    let scratch: &mut RouteScratch = &mut scratch;
-    let mut merged = true;
-    while merged {
-        merged = false;
-        'pairs: for i in 0..groups.len() {
-            for j in i + 1..groups.len() {
-                if groups[i].parts.len() + groups[j].parts.len() > 6 {
-                    continue; // keep waypoint ordering tractable
-                }
-                let (pi, pj) = (&groups[i].candidates[0].path, &groups[j].candidates[0].path);
-                if !pi.mask().intersects(pj.mask()) {
-                    continue; // disjoint paths: a merge cannot shorten L_wash
-                }
-                let (ri, di) = window(schedule, &groups[i]);
-                let (rj, dj) = window(schedule, &groups[j]);
-                let ready = ri.max(rj);
-                let deadline = di.min(dj);
-                if ready >= deadline {
-                    continue;
-                }
-                let mut seqs = groups[i].target_seqs();
-                seqs.extend(groups[j].target_seqs());
-                let cands = enumerate_with(chip, &mut *scratch, &seqs, k);
-                let Some(best) = cands.first() else { continue };
-                if ready + best.duration > deadline {
-                    continue;
-                }
-                let sep_len =
-                    groups[i].candidates[0].path.len() + groups[j].candidates[0].path.len();
-                if best.path.len() > sep_len {
-                    continue;
-                }
-                if timeline
-                    .earliest_fit(best.path.mask(), ready, best.duration, Some(deadline))
-                    .is_none()
-                {
-                    continue;
-                }
-                let gj = groups.remove(j);
-                let gi = &mut groups[i];
-                gi.parts.extend(gj.parts);
-                gi.candidates = cands;
-                merged = true;
-                break 'pairs;
-            }
-        }
+    overlap_gate: bool,
+) -> Option<Vec<Candidate>> {
+    let (ga, gb) = (&a.group, &b.group);
+    if ga.parts.len() + gb.parts.len() > MAX_MERGED_PARTS {
+        return None;
     }
-    groups
+    let (pa, pb) = (&ga.candidates[0].path, &gb.candidates[0].path);
+    if overlap_gate && !pa.mask().intersects(pb.mask()) {
+        return None;
+    }
+    let ready = a.window.0.max(b.window.0);
+    let deadline = a.window.1.min(b.window.1);
+    if ready >= deadline || ruled_out(timeline, ga, gb, ready, deadline) {
+        return None;
+    }
+    let mut seqs = ga.target_seqs();
+    seqs.extend(gb.target_seqs());
+    let cands = enumerate_with(chip, scratch, &seqs, k);
+    let best = cands.first()?;
+    if ready + best.duration > deadline {
+        return None;
+    }
+    if best.path.len() > pa.len() + pb.len() {
+        return None; // merging would lengthen L_wash more than α saves
+    }
+    // The combined wash must actually fit in the window now.
+    timeline.earliest_fit(best.path.mask(), ready, best.duration, Some(deadline))?;
+    Some(cands)
+}
+
+/// `true` when no combined path of `a` and `b` can pass [`probe`]'s checks
+/// in the window `[ready, deadline]`, decided without routing one.
+///
+/// Any combined path is simple and visits every target, so it has at least
+/// `|T|` cells for the distinct targets `T`, and its wash lasts at least
+/// `lb = flow_duration(|T|) + DISSOLUTION_S`. The pair is ruled out when
+/// `|T|` already exceeds the separate paths' total length, when
+/// `ready + lb` overshoots the deadline, or when `T` itself has no slot of
+/// length `lb` in the window. The last test is exact because
+/// [`Timeline::earliest_fit`] is complete (it tries `ready` and every item
+/// end) and monotone: a slot free for a superset of cells over a longer
+/// duration is free for the subset over the shorter one.
+fn ruled_out(
+    timeline: &Timeline,
+    a: &WashGroup,
+    b: &WashGroup,
+    ready: Time,
+    deadline: Time,
+) -> bool {
+    let targets: CellSet = a.targets().into_iter().chain(b.targets()).collect();
+    let lb = flow_duration(targets.len()) + DISSOLUTION_S;
+    targets.len() > a.candidates[0].path.len() + b.candidates[0].path.len()
+        || ready + lb > deadline
+        || timeline
+            .earliest_fit(&targets, ready, lb, Some(deadline))
+            .is_none()
 }
 
 #[cfg(test)]
@@ -766,6 +801,153 @@ mod tests {
         for g in &groups {
             assert_eq!(g.candidates.len(), 1);
         }
+    }
+
+    /// The restart loop [`merge_pass`] replaces: after every accepted merge
+    /// the scan restarts at the first pair and re-probes every pair,
+    /// recomputing both windows and enumerating a combined path each time.
+    fn restart_oracle(
+        chip: &Chip,
+        schedule: &Schedule,
+        mut groups: Vec<WashGroup>,
+        k: usize,
+        overlap_gate: bool,
+    ) -> Vec<WashGroup> {
+        let timeline = Timeline::new(chip, schedule);
+        let mut scratch = RouteScratch::for_chip(chip);
+        let mut merged = true;
+        while merged {
+            merged = false;
+            'pairs: for i in 0..groups.len() {
+                for j in i + 1..groups.len() {
+                    let verdict = oracle_verdict(
+                        chip,
+                        schedule,
+                        &timeline,
+                        &mut scratch,
+                        (&groups[i], &groups[j]),
+                        k,
+                        overlap_gate,
+                    );
+                    let Some(cands) = verdict else { continue };
+                    let gj = groups.remove(j);
+                    groups[i].parts.extend(gj.parts);
+                    groups[i].candidates = cands;
+                    merged = true;
+                    break 'pairs;
+                }
+            }
+        }
+        groups
+    }
+
+    /// The full pair check without any prefilter. Every pair it accepts is
+    /// asserted to survive [`ruled_out`].
+    fn oracle_verdict(
+        chip: &Chip,
+        schedule: &Schedule,
+        timeline: &Timeline,
+        scratch: &mut RouteScratch,
+        (gi, gj): (&WashGroup, &WashGroup),
+        k: usize,
+        overlap_gate: bool,
+    ) -> Option<Vec<Candidate>> {
+        if gi.parts.len() + gj.parts.len() > 6 {
+            return None;
+        }
+        let (pi, pj) = (&gi.candidates[0].path, &gj.candidates[0].path);
+        if overlap_gate && !pi.mask().intersects(pj.mask()) {
+            return None;
+        }
+        let (ri, di) = window(schedule, gi);
+        let (rj, dj) = window(schedule, gj);
+        let (ready, deadline) = (ri.max(rj), di.min(dj));
+        if ready >= deadline {
+            return None;
+        }
+        let mut seqs = gi.target_seqs();
+        seqs.extend(gj.target_seqs());
+        let cands = enumerate_with(chip, scratch, &seqs, k);
+        let best = cands.first()?;
+        if ready + best.duration > deadline || best.path.len() > pi.len() + pj.len() {
+            return None;
+        }
+        timeline.earliest_fit(best.path.mask(), ready, best.duration, Some(deadline))?;
+        assert!(
+            !ruled_out(timeline, gi, gj, ready, deadline),
+            "the prefilter rejected an acceptable merge"
+        );
+        Some(cands)
+    }
+
+    /// Spot-cluster front-end groups, as the pipeline feeds them to merging.
+    fn front_end(
+        bench: &pdw_assay::benchmarks::Benchmark,
+        s: &pdw_synth::Synthesis,
+    ) -> Vec<WashGroup> {
+        let a = analyze(&s.chip, &bench.graph, &s.schedule, NecessityOptions::full());
+        let g = build_groups(
+            &s.chip,
+            &s.schedule,
+            &a.requirements,
+            CandidatePolicy::Shortest,
+            3,
+            1,
+        );
+        split_into_spot_clusters(&s.chip, &s.schedule, g, 4, CandidatePolicy::Shortest, 3, 1)
+    }
+
+    /// Seeded instances plus one mega-grid instance.
+    fn merge_corpus() -> Vec<(pdw_assay::benchmarks::Benchmark, pdw_synth::Synthesis)> {
+        let mut corpus: Vec<_> = (0..40)
+            .filter_map(|seed| pdw_gen::instance(&pdw_gen::spec_from_seed(seed)).ok())
+            .collect();
+        let mega = pdw_gen::mega_instance(&pdw_gen::mega_spec(65, 8, 1)).expect("mega instance");
+        corpus.push(mega);
+        corpus
+    }
+
+    #[test]
+    fn merge_pass_matches_the_restart_loop_bit_for_bit() {
+        let pool = ScratchPool::new();
+        for (bench, s) in merge_corpus() {
+            let groups = front_end(&bench, &s);
+            for overlap_gate in [false, true] {
+                let fast = merge_pass(&s.chip, &s.schedule, groups.clone(), 3, &pool, overlap_gate);
+                let slow = restart_oracle(&s.chip, &s.schedule, groups.clone(), 3, overlap_gate);
+                assert_eq!(
+                    crate::codec::canonical_bytes(&fast),
+                    crate::codec::canonical_bytes(&slow),
+                    "{} (overlap gate {overlap_gate}): merged groups differ",
+                    bench.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prefilter_never_rejects_a_pair_the_full_check_accepts() {
+        // `oracle_verdict` asserts that every pair it accepts survives
+        // `ruled_out`, at every stage of the restart loop.
+        let (mut merges, mut filtered) = (0, 0);
+        for (bench, s) in merge_corpus() {
+            let groups = front_end(&bench, &s);
+            let timeline = Timeline::new(&s.chip, &s.schedule);
+            for (i, gi) in groups.iter().enumerate() {
+                for gj in &groups[i + 1..] {
+                    let (ri, di) = window(&s.schedule, gi);
+                    let (rj, dj) = window(&s.schedule, gj);
+                    let (ready, deadline) = (ri.max(rj), di.min(dj));
+                    if ready < deadline && ruled_out(&timeline, gi, gj, ready, deadline) {
+                        filtered += 1;
+                    }
+                }
+            }
+            let before = groups.len();
+            merges += before - restart_oracle(&s.chip, &s.schedule, groups, 3, false).len();
+        }
+        assert!(merges > 0, "the corpus exercises accepted merges");
+        assert!(filtered > 0, "the corpus exercises the prefilter");
     }
 
     #[test]

@@ -58,9 +58,7 @@ use crate::config::{CandidatePolicy, PdwConfig};
 use crate::context::PlanContext;
 use crate::deadline::Deadline;
 use crate::greedy::insert_washes_protected;
-use crate::groups::{
-    build_groups_pooled, merge_groups_pooled, split_into_spot_clusters_pooled, WashGroup,
-};
+use crate::groups::{build_groups_pooled, merge_pass, split_into_spot_clusters_pooled, WashGroup};
 use crate::par::{panic_message, resolve_threads, try_par_map_ctx};
 use crate::pdw::{finish, run_pipeline, PdwError, SolverReport, WashResult};
 use crate::planner::Planner;
@@ -250,7 +248,7 @@ pub(crate) fn region_front_end(
         pool,
     );
     if merging {
-        merge_groups_pooled(chip, schedule, groups, candidates, pool)
+        merge_pass(chip, schedule, groups, candidates, pool, false)
     } else {
         groups
     }
@@ -903,7 +901,14 @@ fn run_partitioned_pipeline(
                     pool,
                 );
                 if merging {
-                    merge_groups_pooled(&synthesis.chip, &synthesis.schedule, g, candidates, pool)
+                    merge_pass(
+                        &synthesis.chip,
+                        &synthesis.schedule,
+                        g,
+                        candidates,
+                        pool,
+                        false,
+                    )
                 } else {
                     g
                 }
@@ -923,12 +928,13 @@ fn run_partitioned_pipeline(
         all_groups = timer.stage(
             |s| &mut s.merge_s,
             || {
-                crate::groups::merge_groups_overlapping_pooled(
+                merge_pass(
                     &synthesis.chip,
                     &synthesis.schedule,
                     all_groups,
                     candidates,
                     ctx.scratch_pool(),
+                    true,
                 )
             },
         );

@@ -12,7 +12,7 @@ use crate::config::{CandidatePolicy, PdwConfig};
 use crate::context::{FrontEndKey, PlanContext};
 use crate::deadline::Deadline;
 use crate::greedy::insert_washes_protected;
-use crate::groups::{build_groups_pooled, merge_groups_pooled, split_into_spot_clusters_pooled};
+use crate::groups::{build_groups_pooled, merge_pass, split_into_spot_clusters_pooled};
 use crate::model::refine_with_ilp;
 use crate::par::par_map_ctx;
 use crate::stats::{PipelineStats, StageTimer};
@@ -233,12 +233,13 @@ pub(crate) fn run_pipeline(
                 |s| &mut s.merge_s,
                 || {
                     if merging {
-                        merge_groups_pooled(
+                        merge_pass(
                             &synthesis.chip,
                             &synthesis.schedule,
                             groups,
                             candidates,
                             pool,
+                            false,
                         )
                     } else {
                         groups

@@ -123,6 +123,8 @@ struct NetShared {
     next_conn_id: AtomicU64,
     conns: Mutex<HashMap<u64, NetStream>>,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Waiter-thread handles held across all connections.
+    waiter_backlog: AtomicUsize,
     counters: NetCounters,
 }
 
@@ -159,6 +161,7 @@ impl SocketServer {
             next_conn_id: AtomicU64::new(0),
             conns: Mutex::new(HashMap::new()),
             conn_threads: Mutex::new(Vec::new()),
+            waiter_backlog: AtomicUsize::new(0),
             counters: NetCounters::default(),
         });
         let accept_shared = Arc::clone(&shared);
@@ -195,6 +198,15 @@ impl SocketServer {
     /// concurrently live connections, not by connections ever accepted).
     pub fn conn_thread_backlog(&self) -> usize {
         self.shared.conn_threads.lock().unwrap().len()
+    }
+
+    /// Solve-waiter thread handles currently held across all connections
+    /// (in-flight solves plus finished waiters not yet reaped — each
+    /// connection reaps its finished waiters on every pass of its read
+    /// loop, so this stays bounded by the solves in flight, not by the
+    /// solves ever served).
+    pub fn waiter_backlog(&self) -> usize {
+        self.shared.waiter_backlog.load(Ordering::SeqCst)
     }
 
     /// A snapshot of the socket layer's counters.
@@ -258,10 +270,11 @@ impl Drop for SocketServer {
     }
 }
 
-/// Joins every finished connection-thread handle, keeping only live
-/// ones: a long-running server must not accumulate one handle per
-/// connection it ever accepted.
-fn reap_finished(threads: &mut Vec<JoinHandle<()>>) {
+/// Joins every finished thread handle, keeping only live ones, and returns
+/// how many it joined: a long-running server must not accumulate one handle
+/// per connection it ever accepted, nor one per solve it ever served.
+fn reap_finished(threads: &mut Vec<JoinHandle<()>>) -> usize {
+    let before = threads.len();
     let mut i = 0;
     while i < threads.len() {
         if threads[i].is_finished() {
@@ -270,6 +283,7 @@ fn reap_finished(threads: &mut Vec<JoinHandle<()>>) {
             i += 1;
         }
     }
+    before - threads.len()
 }
 
 fn accept_loop(shared: &Arc<NetShared>, listener: NetListener) {
@@ -323,7 +337,7 @@ fn conn_loop(shared: &Arc<NetShared>, _conn_id: u64, mut stream: NetStream) {
     // Handshake: require Hello, answer HelloAck with this build's
     // parameters. A peer speaking a different codec version fails frame
     // decode right here — typed, before any work is admitted.
-    match reader.poll_request(&mut stream, cfg.handshake_timeout) {
+    let refusal = match reader.poll_request(&mut stream, cfg.handshake_timeout) {
         Ok(Some(NetRequest::Hello { codec_version })) if codec_version == SCHEMA_VERSION => {
             let ack = NetResponse::HelloAck {
                 codec_version: SCHEMA_VERSION,
@@ -338,54 +352,19 @@ fn conn_loop(shared: &Arc<NetShared>, _conn_id: u64, mut stream: NetStream) {
                     .fetch_add(1, Ordering::Relaxed);
                 return;
             }
+            None
         }
-        Ok(Some(NetRequest::Hello { codec_version })) => {
-            reply_error(
-                &writer,
-                cfg,
-                0,
-                WireError::BadRequest(format!(
-                    "codec version mismatch: client v{codec_version}, server v{SCHEMA_VERSION}"
-                )),
-            );
-            shared
-                .counters
-                .handshake_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        Ok(Some(_)) => {
-            reply_error(
-                &writer,
-                cfg,
-                0,
-                WireError::BadRequest("first frame must be Hello".to_string()),
-            );
-            shared
-                .counters
-                .handshake_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        Err(TransportError::VersionSkew { found, expected }) => {
-            // Envelope-level skew: answer typed before closing. The skewed
-            // peer's decode of this frame fails as its own (non-retryable)
-            // `VersionSkew`, so it fails fast instead of burning its whole
-            // retry budget on "server closed during handshake".
-            reply_error(
-                &writer,
-                cfg,
-                0,
-                WireError::BadRequest(format!(
-                    "codec version skew: client frame v{found}, server v{expected}"
-                )),
-            );
-            shared
-                .counters
-                .handshake_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
+        Ok(Some(NetRequest::Hello { codec_version })) => Some(format!(
+            "codec version mismatch: client v{codec_version}, server v{SCHEMA_VERSION}"
+        )),
+        Ok(Some(_)) => Some("first frame must be Hello".to_string()),
+        // Envelope-level skew: answer typed before closing. The skewed
+        // peer's decode of this frame fails as its own (non-retryable)
+        // `VersionSkew`, so it fails fast instead of burning its whole
+        // retry budget on "server closed during handshake".
+        Err(TransportError::VersionSkew { found, expected }) => Some(format!(
+            "codec version skew: client frame v{found}, server v{expected}"
+        )),
         Ok(None) | Err(_) => {
             shared
                 .counters
@@ -393,6 +372,16 @@ fn conn_loop(shared: &Arc<NetShared>, _conn_id: u64, mut stream: NetStream) {
                 .fetch_add(1, Ordering::Relaxed);
             return;
         }
+    };
+    if let Some(msg) = refusal {
+        // Counted before the refusal goes out, so a peer that has read it
+        // already finds it in the server's stats.
+        shared
+            .counters
+            .handshake_failures
+            .fetch_add(1, Ordering::Relaxed);
+        reply_error(&writer, cfg, 0, WireError::BadRequest(msg));
+        return;
     }
 
     let conn_in_flight = Arc::new(AtomicUsize::new(0));
@@ -402,6 +391,8 @@ fn conn_loop(shared: &Arc<NetShared>, _conn_id: u64, mut stream: NetStream) {
     // window to send its next request, not an instant eviction.
     let last_activity = Arc::new(Mutex::new(Instant::now()));
     loop {
+        let reaped = reap_finished(&mut waiters);
+        shared.waiter_backlog.fetch_sub(reaped, Ordering::SeqCst);
         let buffered_before = reader.buffered();
         match reader.poll_request(&mut stream, cfg.read_tick) {
             Err(TransportError::Timeout { .. }) => {
@@ -491,9 +482,11 @@ fn conn_loop(shared: &Arc<NetShared>, _conn_id: u64, mut stream: NetStream) {
             }
         }
     }
+    let held = waiters.len();
     for h in waiters {
         let _ = h.join();
     }
+    shared.waiter_backlog.fetch_sub(held, Ordering::SeqCst);
     stream.shutdown();
 }
 
@@ -618,6 +611,7 @@ fn handle_solve(
         })
         .expect("spawn waiter thread");
     waiters.push(handle);
+    shared.waiter_backlog.fetch_add(1, Ordering::SeqCst);
 }
 
 fn reply_error(writer: &Arc<Mutex<NetStream>>, cfg: &NetConfig, id: u64, error: WireError) {

@@ -596,3 +596,40 @@ fn finished_connection_threads_are_reaped() {
     sock.drain();
     plan.shutdown();
 }
+
+/// Each socket solve parks a waiter thread; finished waiters are reaped
+/// while the connection lives, so a long-lived connection does not hold
+/// one un-joined thread per solve it was ever served.
+#[test]
+fn finished_solve_waiters_are_reaped_on_a_long_lived_connection() {
+    let (bench, synthesis) = wire_pool(1).swap_remove(0);
+    let (plan, sock) = tcp_server();
+    let mut client = PlanClient::new(
+        sock.local_addr(),
+        ClientConfig {
+            verify: false,
+            ..ClientConfig::default()
+        },
+    );
+    let mut peak = 0;
+    for _ in 0..500 {
+        client
+            .solve(&bench, &synthesis, &wire_config(), None)
+            .expect("solve");
+        peak = peak.max(sock.waiter_backlog());
+    }
+    assert_eq!(sock.stats().solves, 500);
+    assert!(
+        peak <= 8,
+        "waiter backlog reached {peak} over 500 sequential solves"
+    );
+    // The read loop reaps on every tick, so the last waiter goes too.
+    let t = Instant::now();
+    while sock.waiter_backlog() > 0 && t.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(sock.waiter_backlog(), 0, "idle connection holds no waiters");
+    client.disconnect();
+    sock.drain();
+    plan.shutdown();
+}

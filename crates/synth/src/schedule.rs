@@ -363,20 +363,25 @@ fn synthesize_ordered(
                     .position(|&inp| inp == pdw_assay::OpInput::Op(j))
                     .expect("consumer consumes the resident");
                 let foot: Vec<Coord> = chip.device(cd).footprint().to_vec();
-                let (mut my_res, mut prev_end, mut ready_for) = match pre[c.0 as usize].take() {
-                    Some(p) => (Some(p.my_res), p.prev_delivery_end, p.ready_for_op),
-                    None => {
-                        let start = dev[cd.0 as usize].free_at.max(
-                            res.free_from(foot.iter().copied(), &[])
-                                .expect("unpinned idle devices have no open reservation"),
-                        );
-                        (None, start, start)
-                    }
-                };
-                let mut delivered = match &pre[c.0 as usize] {
-                    Some(p) => p.delivered.clone(),
-                    None => Vec::new(),
-                };
+                // An earlier pre-binding carries its delivered inputs along:
+                // losing them would make the consumer pick those results up
+                // a second time, from devices since reused.
+                let (mut my_res, mut prev_end, mut ready_for, mut delivered) =
+                    match pre[c.0 as usize].take() {
+                        Some(p) => (
+                            Some(p.my_res),
+                            p.prev_delivery_end,
+                            p.ready_for_op,
+                            p.delivered,
+                        ),
+                        None => {
+                            let start = dev[cd.0 as usize].free_at.max(
+                                res.free_from(foot.iter().copied(), &[])
+                                    .expect("unpinned idle devices have no open reservation"),
+                            );
+                            (None, start, start, Vec::new())
+                        }
+                    };
                 let removal_end = deliver_input(
                     graph,
                     &chip,

@@ -139,3 +139,19 @@ proptest! {
         prop_assert_eq!(&g.metrics, &cold_g.metrics);
     }
 }
+
+/// Every seeded instance of the family synthesizes to a physically valid
+/// base schedule. Regression: a consumer pre-bound twice to break residency
+/// deadlocks used to forget its first early delivery and pick that result
+/// up again later, from a device another operation had since reused
+/// (seeds 121 and 850 failed validation with `DeviceCrossed`).
+#[test]
+fn seeded_base_schedules_all_validate() {
+    for seed in 0..1000 {
+        let (bench, s) =
+            instance(&pdw_gen::spec_from_seed(seed)).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        if let Err(e) = validate(&s.chip, &bench.graph, &s.schedule) {
+            panic!("seed {seed}: base schedule invalid: {e:?}");
+        }
+    }
+}
