@@ -31,11 +31,11 @@ usage:
   pdw serve --drain <addr>         ask a listening server to drain gracefully
                                    (stop accepting, finish in-flight work)
   pdw verify [options]             differentially verify every solver
-  pdw worker                       run as a region/solve worker: read framed
-                                   codec requests on stdin, write framed
-                                   plan artifacts on stdout (spawned by the
-                                   subprocess region executor; not intended
-                                   for interactive use)
+  pdw worker                       run as a region worker: read framed region
+                                   jobs on stdin, write framed wash groups on
+                                   stdout (spawned by the subprocess region
+                                   executor; not intended for interactive
+                                   use)
   pdw worker --listen <addr>       serve the same framed worker protocol over
                                    a socket, one connection per executor lane
                                    (dialed by `pdw run --socket-workers`)
@@ -592,7 +592,7 @@ fn cmd_repair(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Region/solve worker mode: a framed request/response loop, spawned by
+/// Region worker mode: a framed request/response loop, spawned by
 /// [`pathdriver_wash::SubprocessExecutor`] (stdin/stdout) or dialed by
 /// [`SocketExecutor`] (`--listen`). The protocol is identical — only the
 /// byte stream differs. Over stdin the loop runs until EOF; over a socket

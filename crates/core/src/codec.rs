@@ -511,62 +511,23 @@ pub fn read_frame_capped(
     r: &mut impl std::io::Read,
     cap: usize,
 ) -> Result<Option<Vec<u8>>, CodecError> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut got = 0;
-    while got < HEADER_LEN {
-        match r.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(CodecError::Truncated {
-                    needed: HEADER_LEN,
-                    have: got,
-                })
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(CodecError::Io(e.to_string())),
-        }
-    }
-    if header[..4] != MAGIC {
-        return Err(CodecError::BadMagic {
-            found: header[..4].try_into().expect("length checked"),
-        });
-    }
-    let len = u32::from_le_bytes(header[6..10].try_into().expect("length checked")) as usize;
-    if len > cap {
-        return Err(CodecError::FrameTooLarge { len, cap });
-    }
-    let mut frame = Vec::with_capacity(HEADER_LEN + len + DIGEST_LEN);
-    frame.extend_from_slice(&header);
-    frame.resize(HEADER_LEN + len + DIGEST_LEN, 0);
-    let mut filled = HEADER_LEN;
-    while filled < frame.len() {
-        match r.read(&mut frame[filled..]) {
-            Ok(0) => {
-                return Err(CodecError::Truncated {
-                    needed: HEADER_LEN + len + DIGEST_LEN,
-                    have: filled,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(CodecError::Io(e.to_string())),
-        }
-    }
-    Ok(Some(frame))
+    FrameAccumulator::new(cap).read_from(r)
 }
 
-/// A resumable frame reader for tick-polled loops: partially read bytes
-/// survive a reader error instead of being discarded, so a frame whose
-/// delivery spans several short read deadlines (a slow peer, WAN
-/// congestion mid-payload) is assembled across calls rather than
-/// desynchronizing the stream. [`read_frame_capped`] is the one-shot
-/// sibling for callers whose deadline covers the whole frame.
+/// A resumable frame reader: partially read bytes survive a reader error
+/// instead of being discarded, so a frame whose delivery spans several
+/// short read deadlines (a slow peer, WAN congestion mid-payload) is
+/// assembled across calls rather than desynchronizing the stream.
+/// [`read_frame_capped`] is the one-shot use for callers whose deadline
+/// covers the whole frame.
 #[derive(Debug)]
 pub struct FrameAccumulator {
     cap: usize,
+    /// Sized to the current target: empty between frames, then the
+    /// header, then the whole frame.
     buf: Vec<u8>,
-    need: usize,
+    /// Bytes of `buf` received so far.
+    filled: usize,
 }
 
 impl FrameAccumulator {
@@ -575,7 +536,7 @@ impl FrameAccumulator {
         FrameAccumulator {
             cap,
             buf: Vec::new(),
-            need: HEADER_LEN,
+            filled: 0,
         }
     }
 
@@ -583,59 +544,53 @@ impl FrameAccumulator {
     /// caller's progress signal (a mid-frame stall with no progress is
     /// idle; one with progress is a slow peer still delivering).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.filled
     }
 
-    /// Reads from `r` until one whole frame is assembled, mirroring
-    /// [`read_frame_capped`]'s contract (`Ok(None)` = clean EOF at a
-    /// frame boundary, length validated against the cap *before* the
-    /// payload buffer grows). The difference: an `Err` from `r` — e.g. a
-    /// read deadline elapsing — surfaces as [`CodecError::Io`] but leaves
-    /// the partial frame buffered, so the next call resumes where this
-    /// one stopped.
+    /// Reads from `r` until one whole frame is assembled. `Ok(None)` is a
+    /// clean EOF at a frame boundary; a stream ending mid-frame is
+    /// [`CodecError::Truncated`]; the length is validated against the cap
+    /// *before* the payload buffer grows. An `Err` from `r` — e.g. a read
+    /// deadline elapsing — surfaces as [`CodecError::Io`] but leaves the
+    /// partial frame buffered, so the next call resumes where this one
+    /// stopped.
     pub fn read_from(&mut self, r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>, CodecError> {
+        if self.buf.is_empty() {
+            self.buf.resize(HEADER_LEN, 0);
+        }
         loop {
-            while self.buf.len() < self.need {
-                let start = self.buf.len();
-                self.buf.resize(self.need, 0);
-                match r.read(&mut self.buf[start..]) {
+            while self.filled < self.buf.len() {
+                match r.read(&mut self.buf[self.filled..]) {
+                    Ok(0) if self.filled == 0 => return Ok(None),
                     Ok(0) => {
-                        self.buf.truncate(start);
-                        if start == 0 {
-                            return Ok(None);
-                        }
                         return Err(CodecError::Truncated {
-                            needed: self.need,
-                            have: start,
-                        });
+                            needed: self.buf.len(),
+                            have: self.filled,
+                        })
                     }
-                    Ok(n) => self.buf.truncate(start + n),
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                        self.buf.truncate(start);
-                    }
-                    Err(e) => {
-                        self.buf.truncate(start);
-                        return Err(CodecError::Io(e.to_string()));
-                    }
+                    Ok(n) => self.filled += n,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(CodecError::Io(e.to_string())),
                 }
             }
-            if self.need == HEADER_LEN {
-                if self.buf[..4] != MAGIC {
-                    let found = self.buf[..4].try_into().expect("length checked");
-                    self.buf.clear();
-                    return Err(CodecError::BadMagic { found });
-                }
-                let len =
-                    u32::from_le_bytes(self.buf[6..10].try_into().expect("length checked")) as usize;
-                if len > self.cap {
-                    self.buf.clear();
-                    return Err(CodecError::FrameTooLarge { len, cap: self.cap });
-                }
-                self.need = HEADER_LEN + len + DIGEST_LEN;
-            } else {
-                self.need = HEADER_LEN;
+            // A whole frame is at least header + digest, so a buffer of
+            // exactly the header's length is still in its header phase.
+            if self.buf.len() > HEADER_LEN {
+                self.filled = 0;
                 return Ok(Some(std::mem::take(&mut self.buf)));
             }
+            if self.buf[..4] != MAGIC {
+                let found = self.buf[..4].try_into().expect("length checked");
+                self.filled = 0;
+                return Err(CodecError::BadMagic { found });
+            }
+            let len = u32::from_le_bytes(self.buf[6..10].try_into().expect("length checked"));
+            let len = len as usize;
+            if len > self.cap {
+                self.filled = 0;
+                return Err(CodecError::FrameTooLarge { len, cap: self.cap });
+            }
+            self.buf.resize(HEADER_LEN + len + DIGEST_LEN, 0);
         }
     }
 }

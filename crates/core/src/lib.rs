@@ -66,6 +66,7 @@ mod deadline;
 mod exact_path;
 mod greedy;
 mod groups;
+mod lanes;
 mod model;
 mod par;
 mod partition;
@@ -93,10 +94,13 @@ pub use groups::{
     build_groups, enumerate_candidates, merge_groups, split_into_spot_clusters, Candidate,
     WashGroup, WashPart,
 };
+pub use lanes::{
+    Connect, Dial, ExecutorEvent, LaneExecutor, RespawnPolicy, SocketExecutor, Spawn,
+    SubprocessExecutor,
+};
 pub use partition::{
     plan_partitioned, plan_partitioned_ctx, plan_partitioned_ctx_with, plan_partitioned_with,
-    ExecutorEvent, InProcessExecutor, PartitionedPlanner, RegionExecutor, RegionJob, RespawnPolicy,
-    SubprocessExecutor,
+    InProcessExecutor, PartitionedPlanner, RegionExecutor, RegionJob,
 };
 pub use pdw::{pdw, PdwError, SolverReport, WashResult};
 pub use pdw_ilp::{IncumbentEvent, SolverStats};
@@ -108,7 +112,6 @@ pub use resilient::{
 };
 pub use stats::PipelineStats;
 pub use transport::{
-    NetAddr, NetListener, NetRequest, NetResponse, NetStream, SocketExecutor, SocketTimeouts,
-    TransportError, WireError,
+    NetAddr, NetListener, NetRequest, NetResponse, NetStream, TransportError, WireError,
 };
 pub use worker::{run_worker, RegionRequest, SolveRequest, WorkerRequest, WorkerResponse};

@@ -16,10 +16,12 @@
 //!    ([`pdw_biochip::span_view`]). A requirement its view cannot wash
 //!    alone (no enabled port pair, or the cell is unreachable inside the
 //!    view) joins the whole-chip **seam set**,
-//! 3. plans every live bucket's front end *in parallel* — each worker sees
-//!    only its bucket's carved view, so BFS fields, routing, and candidate
-//!    enumeration all shrink to the span; regions with no necessity of
-//!    their own are skipped outright,
+//! 3. plans every live bucket's front end *in parallel* through a
+//!    [`RegionExecutor`] — scoped threads ([`InProcessExecutor`]) or
+//!    out-of-process workers (the [lane executor](crate::LaneExecutor)).
+//!    Each job sees only its bucket's carved view, so BFS fields, routing,
+//!    and candidate enumeration all shrink to the span; regions with no
+//!    necessity of their own are skipped outright,
 //! 4. plans the seam set on the whole chip and lets a small coordination
 //!    ILP pick, per cut-crossing group, the candidate path that balances
 //!    crossings over the cut interfaces,
@@ -39,10 +41,6 @@
 //! with the remaining budget.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::panic::AssertUnwindSafe;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use pdw_assay::benchmarks::Benchmark;
@@ -53,19 +51,18 @@ use pdw_ilp::{solve, Model, Relation, SolveOptions, SolveStatus, VarId};
 use pdw_sched::Schedule;
 use pdw_synth::Synthesis;
 
-use crate::codec::{self, FrameType};
 use crate::config::{CandidatePolicy, PdwConfig};
 use crate::context::PlanContext;
 use crate::deadline::Deadline;
 use crate::greedy::insert_washes_protected;
 use crate::groups::{build_groups_pooled, merge_pass, split_into_spot_clusters_pooled, WashGroup};
-use crate::par::{panic_message, resolve_threads, try_par_map_ctx};
+use crate::lanes::ExecutorEvent;
+use crate::par::try_par_map_ctx;
 use crate::pdw::{finish, run_pipeline, PdwError, SolverReport, WashResult};
 use crate::planner::Planner;
 use crate::resilient::RungRejection;
 use crate::resilient::{attempt_rung, plan_resilient_ctx, PlanOutcome, RungAttempt, RungKind};
 use crate::stats::StageTimer;
-use crate::worker::{RegionRequest, WorkerRequest, WorkerResponse};
 
 /// A [`Planner`] that runs the partitioned pipeline with a fixed region
 /// count. With `partitions ≤ 1` it is the unpartitioned pipeline.
@@ -108,79 +105,13 @@ pub struct RegionJob<'a> {
     pub requirements: &'a [WashRequirement],
 }
 
-/// A typed record of something the subprocess transport had to do — where
-/// planning happened changed, what was planned did not.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ExecutorEvent {
-    /// A worker process failed mid-job (died, closed its pipe, or returned
-    /// a corrupt frame); the job was replanned in-process.
-    WorkerFailed {
-        /// The executor lane whose worker failed.
-        worker: usize,
-        /// The job index (input order) that hit the failure.
-        job: usize,
-        /// What the transport observed.
-        detail: String,
-    },
-    /// A lane respawned its worker process after a failure.
-    WorkerRespawned {
-        /// The executor lane that respawned.
-        worker: usize,
-    },
-    /// A lane burned its whole per-run respawn budget and stopped
-    /// respawning; its remaining jobs degrade to in-process planning.
-    RespawnBudgetExhausted {
-        /// The executor lane that gave up on its worker.
-        worker: usize,
-        /// The respawn budget that was exhausted.
-        budget: usize,
-    },
-}
-
-/// Bounds on worker respawning for one executor run. After a lane's
-/// worker fails, the lane waits `base_backoff · 2^(k−1)` before its k-th
-/// consecutive respawn attempt (capped at `max_backoff`), and stops
-/// respawning entirely once it has burned `budget` respawns this run —
-/// a persistently dying worker (`PDW_WORKER_CHAOS=die:1`) degrades the
-/// lane to in-process planning instead of hot-looping spawn/die forever.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RespawnPolicy {
-    /// Respawns allowed per lane per run (the initial spawn is free).
-    pub budget: usize,
-    /// Backoff before the first respawn; doubles per consecutive failure.
-    pub base_backoff: Duration,
-    /// Ceiling on the exponential backoff.
-    pub max_backoff: Duration,
-}
-
-impl Default for RespawnPolicy {
-    fn default() -> Self {
-        RespawnPolicy {
-            budget: 3,
-            base_backoff: Duration::from_millis(25),
-            max_backoff: Duration::from_secs(1),
-        }
-    }
-}
-
-impl RespawnPolicy {
-    /// The delay before a respawn attempt following `consecutive_failures`
-    /// back-to-back failures (≥ 1).
-    pub fn backoff(&self, consecutive_failures: u32) -> Duration {
-        let exp = consecutive_failures.saturating_sub(1).min(16);
-        self.base_backoff
-            .saturating_mul(1u32 << exp)
-            .min(self.max_backoff)
-    }
-}
-
 /// Where region front ends run. The partitioned pipeline is generic over
 /// this seam: [`InProcessExecutor`] plans on scoped threads (the classic
-/// path), [`SubprocessExecutor`] ships each job to a `pdw worker` process
-/// over the canonical codec. Both are bit-identical by construction — the
-/// front end is a pure function of `(chip, schedule, requirements,
-/// candidates, merging)` and the codec round-trips chips exactly.
+/// path), a [`LaneExecutor`](crate::LaneExecutor) ships each job to a
+/// `pdw worker` child or socket peer over the canonical codec. All are
+/// bit-identical by construction — the front end is a pure function of
+/// `(chip, schedule, requirements, candidates, merging)` and the codec
+/// round-trips chips exactly.
 pub trait RegionExecutor: Sync {
     /// Human-readable executor name (for logs and stats).
     fn name(&self) -> &'static str;
@@ -204,8 +135,9 @@ pub trait RegionExecutor: Sync {
         Vec::new()
     }
 
-    /// `(jobs answered by a subprocess worker, jobs that fell back
-    /// in-process after a transport failure)` for the most recent run.
+    /// `(jobs answered by a worker child or socket peer, jobs that fell
+    /// back in-process after a transport failure)` for the most recent
+    /// run.
     fn subprocess_counters(&self) -> (usize, usize) {
         (0, 0)
     }
@@ -284,292 +216,6 @@ impl RegionExecutor for InProcessExecutor {
             )
         })
     }
-}
-
-/// One live `pdw worker` child process with framed stdin/stdout.
-struct WorkerProc {
-    child: Child,
-    stdin: ChildStdin,
-    stdout: ChildStdout,
-}
-
-impl WorkerProc {
-    fn spawn(cmd: &[String]) -> Result<Self, String> {
-        let mut child = Command::new(&cmd[0])
-            .args(&cmd[1..])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| format!("spawn {}: {e}", cmd[0]))?;
-        let stdin = child.stdin.take().expect("stdin was piped");
-        let stdout = child.stdout.take().expect("stdout was piped");
-        Ok(WorkerProc {
-            child,
-            stdin,
-            stdout,
-        })
-    }
-
-    /// One framed round trip. Any failure — pipe error, EOF, corrupt or
-    /// stale frame — comes back as a transport error message.
-    fn call(&mut self, req: &WorkerRequest) -> Result<WorkerResponse, String> {
-        let frame = codec::encode_frame(FrameType::WorkerRequest, req);
-        codec::write_frame(&mut self.stdin, &frame).map_err(|e| e.to_string())?;
-        let frame = codec::read_frame(&mut self.stdout)
-            .map_err(|e| e.to_string())?
-            .ok_or_else(|| "worker closed its stdout".to_string())?;
-        codec::decode_frame(FrameType::WorkerResponse, &frame).map_err(|e| e.to_string())
-    }
-}
-
-impl Drop for WorkerProc {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Plans region jobs in out-of-process `pdw worker` children: `workers`
-/// lanes, each owning one persistent child, jobs dealt round-robin by
-/// input index. A lane whose worker fails mid-job records a typed
-/// [`ExecutorEvent::WorkerFailed`], replans that job in-process (the same
-/// pure front end — the plan is unchanged), and respawns the child for its
-/// next job under the lane's [`RespawnPolicy`]: exponential backoff
-/// between consecutive failures, and a hard per-run respawn budget after
-/// which the lane degrades to in-process planning
-/// ([`ExecutorEvent::RespawnBudgetExhausted`]). Results are bit-identical
-/// to [`InProcessExecutor`] under any combination of failures.
-pub struct SubprocessExecutor {
-    cmd: Vec<String>,
-    workers: usize,
-    policy: RespawnPolicy,
-    events: Mutex<Vec<ExecutorEvent>>,
-    remote_jobs: AtomicUsize,
-    fallbacks: AtomicUsize,
-    exhausted: AtomicUsize,
-}
-
-impl SubprocessExecutor {
-    /// An executor launching `workers` children (0 = all cores) with the
-    /// given argv, e.g. `["/path/to/pdw", "worker"]`, under the default
-    /// [`RespawnPolicy`].
-    ///
-    /// # Panics
-    /// Panics if `cmd` is empty.
-    pub fn new(cmd: Vec<String>, workers: usize) -> Self {
-        assert!(!cmd.is_empty(), "subprocess executor needs an argv");
-        Self {
-            cmd,
-            workers,
-            policy: RespawnPolicy::default(),
-            events: Mutex::new(Vec::new()),
-            remote_jobs: AtomicUsize::new(0),
-            fallbacks: AtomicUsize::new(0),
-            exhausted: AtomicUsize::new(0),
-        }
-    }
-
-    /// Replaces the respawn policy (budget and backoff curve).
-    pub fn with_respawn_policy(mut self, policy: RespawnPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    fn record(&self, event: ExecutorEvent) {
-        self.events
-            .lock()
-            .expect("executor event log poisoned")
-            .push(event);
-    }
-}
-
-/// One job's result slot, filled by whichever executor lane planned it.
-type JobSlot = Mutex<Option<Result<Vec<WashGroup>, String>>>;
-
-impl RegionExecutor for SubprocessExecutor {
-    fn name(&self) -> &'static str {
-        "subprocess"
-    }
-
-    fn run(
-        &self,
-        jobs: &[RegionJob<'_>],
-        schedule: &Schedule,
-        candidates: usize,
-        merging: bool,
-        _threads: usize,
-    ) -> Vec<Result<Vec<WashGroup>, String>> {
-        self.events
-            .lock()
-            .expect("executor event log poisoned")
-            .clear();
-        self.remote_jobs.store(0, Ordering::Relaxed);
-        self.fallbacks.store(0, Ordering::Relaxed);
-        self.exhausted.store(0, Ordering::Relaxed);
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let lanes = resolve_threads(self.workers).min(jobs.len()).max(1);
-        let slots: Vec<JobSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for lane in 0..lanes {
-                let slots = &slots;
-                scope.spawn(move || {
-                    let pool = ScratchPool::new();
-                    let mut proc: Option<WorkerProc> = None;
-                    let mut failed_before = false;
-                    let mut respawns_used = 0usize;
-                    let mut consecutive = 0u32;
-                    let mut exhausted = false;
-                    for i in (lane..jobs.len()).step_by(lanes) {
-                        let job = &jobs[i];
-                        if proc.is_none() && !exhausted && failed_before {
-                            // A (re)spawn after a failure draws on the
-                            // lane's budget and waits out the backoff; a
-                            // burned-out lane stops spawning for good.
-                            if respawns_used >= self.policy.budget {
-                                exhausted = true;
-                                self.exhausted.fetch_add(1, Ordering::Relaxed);
-                                self.record(ExecutorEvent::RespawnBudgetExhausted {
-                                    worker: lane,
-                                    budget: self.policy.budget,
-                                });
-                            } else {
-                                std::thread::sleep(self.policy.backoff(consecutive));
-                                respawns_used += 1;
-                            }
-                        }
-                        if !exhausted && proc.is_none() {
-                            match WorkerProc::spawn(&self.cmd) {
-                                Ok(p) => {
-                                    proc = Some(p);
-                                    if failed_before {
-                                        self.record(ExecutorEvent::WorkerRespawned {
-                                            worker: lane,
-                                        });
-                                    }
-                                }
-                                Err(e) => {
-                                    // Spawn failures fall through to the
-                                    // per-job fallback below.
-                                    failed_before = true;
-                                    consecutive += 1;
-                                    self.record(ExecutorEvent::WorkerFailed {
-                                        worker: lane,
-                                        job: i,
-                                        detail: e.clone(),
-                                    });
-                                }
-                            }
-                        }
-                        let Some(worker) = proc.as_mut() else {
-                            let out = fallback_front_end(job, schedule, candidates, merging, &pool);
-                            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                            *slots[i].lock().expect("slot poisoned") = Some(out);
-                            continue;
-                        };
-                        let req = WorkerRequest::Region(Box::new(RegionRequest {
-                            chip: job.chip.clone(),
-                            schedule: schedule.clone(),
-                            requirements: job.requirements.to_vec(),
-                            candidates,
-                            merging,
-                        }));
-                        let out = match worker.call(&req) {
-                            Ok(WorkerResponse::Groups(g)) => {
-                                self.remote_jobs.fetch_add(1, Ordering::Relaxed);
-                                consecutive = 0;
-                                Ok(g)
-                            }
-                            // The worker's front end panicked — the same
-                            // refusal an in-process panic would be. The
-                            // worker itself is still healthy.
-                            Ok(WorkerResponse::Error(msg)) => {
-                                self.remote_jobs.fetch_add(1, Ordering::Relaxed);
-                                consecutive = 0;
-                                Err(msg)
-                            }
-                            Ok(_) => {
-                                proc = None;
-                                failed_before = true;
-                                consecutive += 1;
-                                self.record(ExecutorEvent::WorkerFailed {
-                                    worker: lane,
-                                    job: i,
-                                    detail: "unexpected response kind".to_string(),
-                                });
-                                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                                fallback_front_end(job, schedule, candidates, merging, &pool)
-                            }
-                            Err(detail) => {
-                                proc = None;
-                                failed_before = true;
-                                consecutive += 1;
-                                self.record(ExecutorEvent::WorkerFailed {
-                                    worker: lane,
-                                    job: i,
-                                    detail,
-                                });
-                                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                                fallback_front_end(job, schedule, candidates, merging, &pool)
-                            }
-                        };
-                        *slots[i].lock().expect("slot poisoned") = Some(out);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("slot poisoned")
-                    .expect("every job slot filled")
-            })
-            .collect()
-    }
-
-    fn events(&self) -> Vec<ExecutorEvent> {
-        self.events
-            .lock()
-            .expect("executor event log poisoned")
-            .clone()
-    }
-
-    fn subprocess_counters(&self) -> (usize, usize) {
-        (
-            self.remote_jobs.load(Ordering::Relaxed),
-            self.fallbacks.load(Ordering::Relaxed),
-        )
-    }
-
-    fn exhausted_lanes(&self) -> usize {
-        self.exhausted.load(Ordering::Relaxed)
-    }
-}
-
-/// In-process replanning of one job after a transport failure: the same
-/// pure front end the worker would have run, with the same panic-refusal
-/// semantics as [`InProcessExecutor`].
-pub(crate) fn fallback_front_end(
-    job: &RegionJob<'_>,
-    schedule: &Schedule,
-    candidates: usize,
-    merging: bool,
-    pool: &ScratchPool,
-) -> Result<Vec<WashGroup>, String> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        region_front_end(
-            job.chip,
-            schedule,
-            job.requirements,
-            candidates,
-            merging,
-            pool,
-        )
-    }))
-    .map_err(panic_message)
 }
 
 /// Solves the context's instance with the partitioned ladder: the
@@ -826,7 +472,7 @@ fn run_partitioned_pipeline(
     timer.stats.regions_skipped = band_live.iter().filter(|live| !**live).count();
 
     // Plan every live bucket's front end through the region executor —
-    // scoped threads in-process, or `pdw worker` children out-of-process;
+    // scoped threads in-process, or `pdw worker` children or peers;
     // either way one serial front end per bucket (the parallelism is across
     // buckets). A bucket that panics — e.g. a cluster-split bridge cell
     // landing outside its view — refuses: its requirements are replanned on

@@ -1,20 +1,16 @@
-//! The `pdw worker` protocol: an out-of-process planning servant speaking
-//! framed canonical codec on stdin/stdout.
+//! The `pdw worker` protocol: an out-of-process region planner speaking
+//! framed canonical codec on any byte stream — a child's stdin/stdout or
+//! an accepted socket (`pdw worker --listen`).
 //!
-//! A worker is a loop: read one [`WorkerRequest`] frame, plan, write one
-//! [`WorkerResponse`] frame, flush, repeat until stdin closes. Two request
-//! kinds exist:
-//!
-//! - [`WorkerRequest::Region`] — one region front-end job from the
-//!   partitioned pipeline (carved chip view + base schedule +
-//!   requirements). The worker runs the *same* serial front end the
-//!   in-process executor runs, so its groups are bit-identical; a front-end
-//!   panic becomes a [`WorkerResponse::Error`] (the same refusal an
-//!   in-process panic is), never a crash.
-//! - [`WorkerRequest::Solve`] — a whole instance. The worker runs the full
-//!   resilient ladder and returns a certified [`PlanArtifact`]: schedule,
-//!   metrics, rung, and a verification certificate the consumer can (and
-//!   should) re-check.
+//! A worker is a loop ([`run_worker`]): read one [`WorkerRequest`] frame,
+//! plan, write one [`WorkerResponse`] frame, flush, repeat until the input
+//! closes. The one request kind, [`WorkerRequest::Region`], is a region
+//! front-end job from the partitioned pipeline (carved chip view + base
+//! schedule + requirements). The worker runs the *same* serial front end
+//! the in-process executor runs, so its groups are bit-identical; a
+//! front-end panic becomes a [`WorkerResponse::Error`] (the same refusal an
+//! in-process panic is), never a crash. Whole-instance solves travel the
+//! plan-serving wire instead ([`NetRequest::Solve`](crate::NetRequest)).
 //!
 //! Every frame carries the codec magic, [`SCHEMA_VERSION`], and an FNV
 //! digest trailer, so a version-skewed or corrupted worker is detected at
@@ -42,12 +38,11 @@ use pdw_sched::Schedule;
 use pdw_synth::Synthesis;
 use serde::{Deserialize, Serialize};
 
-use crate::codec::{self, config_fingerprint, instance_hash, CodecError, FrameType, PlanArtifact};
+use crate::codec::{self, CodecError, FrameType};
 use crate::config::PdwConfig;
 use crate::groups::WashGroup;
 use crate::par::panic_message;
 use crate::partition::region_front_end;
-use crate::resilient::plan_resilient;
 
 /// One region front-end job, self-contained: region views preserve parent
 /// coordinates and ids, so the planned groups are valid on the whole chip
@@ -66,7 +61,8 @@ pub struct RegionRequest {
     pub merging: bool,
 }
 
-/// A whole planning instance for the full resilient ladder.
+/// A whole planning instance for the full resilient ladder, as sent by a
+/// plan client over the wire ([`NetRequest::Solve`](crate::NetRequest)).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SolveRequest {
     /// The bioassay benchmark.
@@ -82,8 +78,6 @@ pub struct SolveRequest {
 pub enum WorkerRequest {
     /// Plan one region front end (partitioned-pipeline fan-out).
     Region(Box<RegionRequest>),
-    /// Solve a whole instance and return a certified artifact.
-    Solve(Box<SolveRequest>),
 }
 
 /// What a `pdw worker` answers with.
@@ -91,10 +85,8 @@ pub enum WorkerRequest {
 pub enum WorkerResponse {
     /// The region job's wash groups, bit-identical to in-process planning.
     Groups(Vec<WashGroup>),
-    /// The solved instance's certified plan artifact.
-    Artifact(Box<PlanArtifact>),
-    /// The request was understood but planning refused (front-end panic,
-    /// every ladder rung rejected). The worker itself is still healthy.
+    /// The request was understood but planning refused (a front-end
+    /// panic). The worker itself is still healthy.
     Error(String),
 }
 
@@ -177,22 +169,6 @@ fn handle(request: WorkerRequest) -> WorkerResponse {
                 &pool,
             ))
         }
-        WorkerRequest::Solve(r) => {
-            let outcome = plan_resilient(&r.bench, &r.synthesis, &r.config);
-            match (outcome.served, outcome.rung) {
-                (Some(result), Some(rung)) => {
-                    WorkerResponse::Artifact(Box::new(PlanArtifact::certified(
-                        instance_hash(&r.bench, &r.synthesis),
-                        config_fingerprint(&r.config),
-                        rung,
-                        &r.bench,
-                        &r.synthesis,
-                        result,
-                    )))
-                }
-                _ => WorkerResponse::Error("every ladder rung was rejected".to_string()),
-            }
-        }
     }));
     match outcome {
         Ok(response) => response,
@@ -205,13 +181,6 @@ mod tests {
     use super::*;
     use pdw_assay::benchmarks;
     use pdw_synth::synthesize;
-
-    fn config() -> PdwConfig {
-        PdwConfig {
-            ilp: false,
-            ..PdwConfig::default()
-        }
-    }
 
     /// Drives `run_worker` over in-memory pipes — the same loop the `pdw
     /// worker` binary runs, minus the process boundary (which
@@ -231,28 +200,6 @@ mod tests {
                 .push(codec::decode_frame(FrameType::WorkerResponse, &frame).expect("response"));
         }
         responses
-    }
-
-    #[test]
-    fn solve_request_returns_a_verifying_artifact() {
-        let bench = benchmarks::demo();
-        let s = synthesize(&bench).unwrap();
-        let responses = roundtrip(&[WorkerRequest::Solve(Box::new(SolveRequest {
-            bench: bench.clone(),
-            synthesis: s.clone(),
-            config: config(),
-        }))]);
-        assert_eq!(responses.len(), 1);
-        let WorkerResponse::Artifact(artifact) = &responses[0] else {
-            panic!("expected an artifact, got {:?}", responses[0]);
-        };
-        artifact.verify(&bench, &s).expect("artifact verifies");
-        let direct = plan_resilient(&bench, &s, &config());
-        assert_eq!(
-            artifact.result.schedule,
-            direct.served.as_ref().unwrap().schedule
-        );
-        assert_eq!(Some(artifact.rung), direct.rung);
     }
 
     #[test]
@@ -288,10 +235,13 @@ mod tests {
 
     #[test]
     fn truncated_request_stream_is_a_typed_error() {
-        let req = WorkerRequest::Solve(Box::new(SolveRequest {
-            bench: benchmarks::demo(),
-            synthesis: synthesize(&benchmarks::demo()).unwrap(),
-            config: config(),
+        let s = synthesize(&benchmarks::demo()).unwrap();
+        let req = WorkerRequest::Region(Box::new(RegionRequest {
+            chip: s.chip,
+            schedule: s.schedule,
+            requirements: Vec::new(),
+            candidates: 3,
+            merging: true,
         }));
         let frame = codec::encode_frame(FrameType::WorkerRequest, &req);
         let mut reader = std::io::Cursor::new(frame[..frame.len() - 5].to_vec());

@@ -32,9 +32,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pathdriver_wash::codec::DEFAULT_MAX_FRAME_LEN;
-use pathdriver_wash::transport::{
-    hello, recv_response, send_request, send_response, FrameReader,
-};
+use pathdriver_wash::transport::{hello, recv_response, send_request, send_response, FrameReader};
 use pathdriver_wash::{
     config_fingerprint, NetAddr, NetListener, NetRequest, NetResponse, NetStream, PdwConfig,
     PlanArtifact, SolveRequest, TransportError, WireError, SCHEMA_VERSION,
